@@ -192,22 +192,17 @@ func (s *Stats) WriteMisses() int64        { return s.N[CntWriteMisses] }
 func (s *Stats) LocalFills() int64         { return s.N[CntLocalFills] }
 func (s *Stats) FalseMisses() int64        { return s.N[CntFalseMisses] }
 func (s *Stats) MessagesSent() int64       { return s.N[CntMessagesSent] }
-func (s *Stats) MessagesHandled() int64    { return s.N[CntMessagesHandled] }
 func (s *Stats) Invalidations() int64      { return s.N[CntInvalidations] }
 func (s *Stats) DowngradesSent() int64     { return s.N[CntDowngradesSent] }
 func (s *Stats) DowngradesDirect() int64   { return s.N[CntDowngradesDirect] }
-func (s *Stats) DowngradesReceived() int64 { return s.N[CntDowngradesReceived] }
 func (s *Stats) LLs() int64                { return s.N[CntLLs] }
 func (s *Stats) SCs() int64                { return s.N[CntSCs] }
 func (s *Stats) SCFailures() int64         { return s.N[CntSCFailures] }
 func (s *Stats) SCHardware() int64         { return s.N[CntSCHardware] }
 func (s *Stats) Prefetches() int64         { return s.N[CntPrefetches] }
-func (s *Stats) MemoryBarriers() int64     { return s.N[CntMemoryBarriers] }
 func (s *Stats) LockAcquires() int64       { return s.N[CntLockAcquires] }
 func (s *Stats) BarrierWaits() int64       { return s.N[CntBarrierWaits] }
 func (s *Stats) BatchesIssued() int64      { return s.N[CntBatchesIssued] }
-func (s *Stats) BatchStoreReissues() int64 { return s.N[CntBatchStoreReissues] }
-func (s *Stats) DeferredFlagFills() int64  { return s.N[CntDeferredFlagFills] }
 func (s *Stats) SyscallValidations() int64 { return s.N[CntSyscallValidations] }
 func (s *Stats) Forks() int64              { return s.N[CntForks] }
 func (s *Stats) Retransmits() int64        { return s.N[CntRetransmits] }

@@ -80,6 +80,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -148,19 +149,24 @@ func (p *Engine) Run(e *sim.Engine) error {
 			statuses[i] = e.RunShardWindow(i, horizon)
 		}
 	}
+	var exited sync.WaitGroup
 	for k := 0; k < pool; k++ {
 		start[k] = make(chan sim.Time)
+		exited.Add(1)
 		go func(k int) {
+			defer exited.Done()
 			for horizon := range start[k] {
 				claim(horizon)
 				done <- struct{}{}
 			}
 		}(k)
 	}
+	// Run returns only after every pool goroutine has exited.
 	defer func() {
 		for k := range start {
 			close(start[k])
 		}
+		exited.Wait()
 	}()
 
 	for {

@@ -48,11 +48,13 @@ type Proc struct {
 	sleeping bool
 	abort    bool
 	// external marks a process driven from outside Engine.Run (no
-	// goroutine, never scheduled). It must not block; see ExternalProc.
+	// coroutine, never scheduled). It must not block; see ExternalProc.
 	external bool
 
-	resume chan Time
-	yield  chan struct{}
+	// next resumes the process's coroutine until it yields or finishes;
+	// yield, called from inside it, hands control back (see coro.go).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
 // Now returns the process's local clock.
@@ -67,10 +69,8 @@ func (p *Proc) Node() int { return p.cpu.node }
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// run is the goroutine body wrapper.
+// run is the coroutine body wrapper; returning hands control back for good.
 func (p *Proc) run(fn func(*Proc)) {
-	// Park until first scheduled.
-	p.window = <-p.resume
 	defer func() {
 		r := recover()
 		if r != nil && r != any(abortSignal) && !p.abort {
@@ -79,10 +79,6 @@ func (p *Proc) run(fn func(*Proc)) {
 			p.cpu.shard.fail(fmt.Errorf("sim: process %s[%d] panicked at t=%d: %v\n%s", p.Name, p.ID, p.now, r, buf[:n]))
 		}
 		p.state = stateDone
-		// Always hand control back — during tear-down the engine's drain is
-		// listening, and the send serializes this goroutine's deferred guest
-		// cleanups (which touch shared state) against the other processes'.
-		p.yield <- struct{}{}
 	}()
 	if p.abort {
 		return
@@ -109,8 +105,7 @@ func (p *Proc) yieldBack() {
 	if p.external {
 		panic(fmt.Sprintf("sim: external process %s attempted to block at t=%d (external steps must run to completion)", p.Name, p.now))
 	}
-	p.yield <- struct{}{}
-	p.window = <-p.resume
+	p.yield(struct{}{})
 	if p.abort {
 		panic(abortSignal)
 	}

@@ -1,7 +1,9 @@
 // Package sim provides a deterministic, conservative discrete-event
 // simulation engine for a cluster of SMP nodes.
 //
-// Each simulated process runs as a goroutine. The scheduler is organised
+// Each simulated process runs as a coroutine (iter.Pull), so handing control
+// between the scheduler and a process is a direct switch, not a goroutine
+// handoff through the Go scheduler. The scheduler is organised
 // around *shards*: disjoint groups of CPUs (and the processes bound to
 // them) that each resume exactly one process at a time — always a process
 // whose next possible action is earliest in simulated time within the
@@ -332,8 +334,6 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 		cpu:      e.cpus[cpu],
 		now:      start,
 		state:    stateNew,
-		resume:   make(chan Time),
-		yield:    make(chan struct{}),
 		wakeAt:   Forever,
 		window:   Forever,
 	}
@@ -343,12 +343,12 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "spawn", P: p.ID, O: cpu, S: name})
 	}
-	go p.run(fn)
+	p.start(fn)
 	return p
 }
 
 // ExternalProc creates a process that is driven from outside Engine.Run:
-// it has no goroutine, is never scheduled, and is invisible to the
+// it has no coroutine, is never scheduled, and is invisible to the
 // scheduler (not registered with the engine or any CPU queue). It exists
 // so higher-layer code that charges time (Proc.Advance) or reads clocks
 // can execute directly on the calling goroutine — the model checker uses
@@ -524,8 +524,8 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 		}
 		p.state = stateRunning
 		sh.running = p
-		p.resume <- window
-		<-p.yield
+		p.window = window
+		p.next()
 		sh.running = nil
 		if p.state == stateRunning {
 			p.state = stateReady
@@ -885,15 +885,17 @@ func (sh *shard) fail(err error) {
 	}
 }
 
-// drain unblocks any goroutines still parked so they can exit, one at a
-// time: each process fully unwinds (running its deferred cleanups, which
-// may touch state shared with other processes) before the next is resumed.
+// drain resumes every process still parked, with abort set, so its
+// coroutine unwinds and exits. It goes one process at a time, in process
+// order: next returns only when the process has fully unwound (running its
+// deferred cleanups, which may touch state shared with other processes),
+// so no two cleanups ever interleave.
 func (e *Engine) drain() {
 	for _, p := range e.procs {
 		if p.state != stateDone {
 			p.abort = true
-			p.resume <- Forever
-			<-p.yield
+			p.window = Forever
+			p.next()
 		}
 	}
 }

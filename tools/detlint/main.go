@@ -18,8 +18,9 @@
 // detlint type-checks the named package directories using only the
 // standard library: imports within this module are resolved by
 // type-checking their directories recursively, everything else through
-// go/importer's source importer. Test files are skipped. Any finding makes
-// the exit status 1.
+// go/importer's source importer. Test files are skipped. Any finding, or any
+// type error in a checked package, makes the exit status 1: linting on
+// partial type information would silently miss findings.
 //
 // Usage: detlint DIR...
 package main
@@ -31,6 +32,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,6 +51,9 @@ type linter struct {
 	modPath string // module path from go.mod
 	cache   map[string]*types.Package
 	std     types.Importer
+	// typeErrs collects every type error of every checked package; any
+	// one fails the run.
+	typeErrs []error
 }
 
 func newLinter(modRoot, modPath string) *linter {
@@ -116,7 +121,7 @@ func (l *linter) check(dir, path string, info *types.Info) (*types.Package, []*a
 	}
 	conf := types.Config{
 		Importer: l,
-		Error:    func(error) {}, // best-effort: keep partial type info
+		Error:    func(err error) { l.typeErrs = append(l.typeErrs, err) },
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil && pkg == nil {
@@ -354,32 +359,44 @@ func findModule(dir string) (root, path string) {
 	}
 }
 
+// run lints the directories and returns the exit status; separated from
+// main for tests.
+func run(dirs []string, stdout io.Writer) int {
+	root, mod := findModule(dirs[0])
+	l := newLinter(root, mod)
+	var all []finding
+	for _, dir := range dirs {
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
+			return 2
+		}
+		fs, err := l.lintDir(abs)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "detlint: %s: %v\n", dir, err)
+			return 2
+		}
+		all = append(all, fs...)
+	}
+	if len(l.typeErrs) > 0 {
+		for _, err := range l.typeErrs {
+			fmt.Fprintf(os.Stderr, "detlint: type error: %v\n", err)
+		}
+		return 1
+	}
+	for _, fd := range all {
+		fmt.Fprintf(stdout, "%s: %s: %s\n", fd.pos, fd.kind, fd.msg)
+	}
+	if len(all) > 0 {
+		return 1
+	}
+	return 0
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: detlint DIR...")
 		os.Exit(2)
 	}
-	dirs := os.Args[1:]
-	root, mod := findModule(dirs[0])
-	l := newLinter(root, mod)
-	bad := false
-	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
-			os.Exit(2)
-		}
-		fs, err := l.lintDir(abs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: %s: %v\n", dir, err)
-			os.Exit(2)
-		}
-		for _, fd := range fs {
-			bad = true
-			fmt.Printf("%s: %s: %s\n", fd.pos, fd.kind, fd.msg)
-		}
-	}
-	if bad {
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -187,5 +188,19 @@ func TestDetlintRepoPackages(t *testing.T) {
 		for _, f := range fs {
 			t.Errorf("%s: %s: %s: %s", rel, f.pos, f.kind, f.msg)
 		}
+	}
+}
+
+// TestTypeErrorsAreFatal lints a package that does not type-check: the
+// run must fail with status 1 instead of linting on partial type info.
+func TestTypeErrorsAreFatal(t *testing.T) {
+	dir := t.TempDir()
+	src := "package fixture\n\nfunc f() int { return undefinedName }\n"
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if code := run([]string{dir}, &out); code != 1 {
+		t.Fatalf("run on a package with a type error: got exit %d, want 1\n%s", code, out.String())
 	}
 }

@@ -37,8 +37,8 @@
 // Like detlint, hotlint uses only the standard library: module-internal
 // imports are resolved by type-checking their directories recursively,
 // everything else through go/importer's source importer. Test files are
-// skipped. New findings make the exit status 1; usage or analysis errors
-// make it 2.
+// skipped. New findings, or any type error in a checked package, make the
+// exit status 1; usage or analysis errors make it 2.
 //
 // Usage: hotlint [-escape] [-baseline file] [-write-baseline] DIR...
 package main
@@ -111,6 +111,9 @@ type analyzer struct {
 	sizes   types.Sizes
 	pkgs    []*pkgInfo
 	decls   map[string]*funcInfo // keyed by fullName
+	// typeErrs collects every type error of every checked package; any
+	// one fails the run.
+	typeErrs []error
 }
 
 func newAnalyzer(modRoot, modPath string) *analyzer {
@@ -180,7 +183,7 @@ func (a *analyzer) check(dir, path string, info *types.Info) (*types.Package, []
 	}
 	conf := types.Config{
 		Importer: a,
-		Error:    func(error) {}, // best-effort: keep partial type info
+		Error:    func(err error) { a.typeErrs = append(a.typeErrs, err) },
 	}
 	pkg, err := conf.Check(path, a.fset, files, info)
 	if err != nil && pkg == nil {
@@ -867,6 +870,13 @@ func run(dirs []string, escape bool, baselinePath string, writeBase bool, stdout
 			fmt.Fprintf(os.Stderr, "hotlint: %s: %v\n", d, err)
 			return 2
 		}
+	}
+	if len(a.typeErrs) > 0 {
+		// Linting on partial type information would silently miss findings.
+		for _, err := range a.typeErrs {
+			fmt.Fprintf(os.Stderr, "hotlint: type error: %v\n", err)
+		}
+		return 1
 	}
 	hot := a.hotClosure()
 	var findings []finding

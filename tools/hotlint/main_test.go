@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -223,5 +224,19 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "0 new") {
 		t.Errorf("baseline run should report 0 new findings:\n%s", buf.String())
+	}
+}
+
+// TestTypeErrorsAreFatal analyzes a package that does not type-check: the
+// run must fail with status 1 instead of linting on partial type info.
+func TestTypeErrorsAreFatal(t *testing.T) {
+	dir := t.TempDir()
+	src := "package fixture\n\n//hot:path\nfunc f() int { return undefinedName }\n"
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if code := run([]string{dir}, false, "", false, &buf); code != 1 {
+		t.Fatalf("run on a package with a type error: got exit %d, want 1\n%s", code, buf.String())
 	}
 }
