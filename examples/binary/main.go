@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -68,8 +69,12 @@ func main() {
 		panic(err)
 	}
 	agg := sys.AggregateStats()
-	fmt.Printf("four copies on four nodes: counter = %d (want %d)\n",
-		sys.Peek(core.SharedBase), copies*25)
+	counter, want := sys.Peek(core.SharedBase), uint64(copies*25)
+	fmt.Printf("four copies on four nodes: counter = %d (want %d)\n", counter, want)
 	fmt.Printf("LL/SC: %d/%d (%d in hardware, %d failed); remote misses: %d read, %d write\n",
 		agg.LLs(), agg.SCs(), agg.SCHardware(), agg.SCFailures(), agg.ReadMisses(), agg.WriteMisses())
+	if counter != want {
+		fmt.Fprintln(os.Stderr, "binary: the shared counter lost increments")
+		os.Exit(1)
+	}
 }

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -21,6 +22,7 @@ func main() {
 	cfg := sys.Cfg
 
 	var data uint64 // shared array address
+	var sum uint64  // what the consumer reads back
 	ready := false
 
 	// A producer on node 0 writes 64 words.
@@ -44,7 +46,6 @@ func main() {
 		for !ready {
 			p.Compute(1000)
 		}
-		var sum uint64
 		for i := 0; i < 64; i++ {
 			sum += p.Load(data + uint64(i*8))
 		}
@@ -61,6 +62,10 @@ func main() {
 		consumer.Stats().Loads(), consumer.Stats().ReadMisses(), consumer.Stats().ReadMisses())
 	fmt.Printf("network: %d messages, %d bytes\n",
 		sys.Net.Stats().Messages, sys.Net.Stats().Bytes)
+	if sum != sumSquares(63) {
+		fmt.Fprintln(os.Stderr, "quickstart: the consumer read a wrong sum")
+		os.Exit(1)
+	}
 }
 
 func sumSquares(n int) (s uint64) {

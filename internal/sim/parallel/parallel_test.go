@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sim/parallel"
+	"repro/internal/trace"
 )
 
 // mailbox stages cross-shard notifications the way the DSM layer stages
@@ -252,5 +253,61 @@ func TestWorkersCapped(t *testing.T) {
 	}
 	if got := e.Now(); got <= 0 {
 		t.Fatalf("Now() = %d after run", got)
+	}
+}
+
+// TestStaleSpinnerPreempted pins the scheduler's stale-spinner path on both
+// engines. A process waits on cpu0 past its quantum while a second process
+// is queued there. After cpu0's first visit nothing touches it: only a
+// process on cpu1 (same node, same shard) advancing to the slice end moves
+// shard progress there. The spinner must then be preempted at the slice
+// end, and the queued process resumed one context switch later.
+func TestStaleSpinnerPreempted(t *testing.T) {
+	const quantum, ctxSwitch = 1000, 25
+	for _, workers := range []int{-1, 2} {
+		e := sim.NewEngine(sim.Config{Nodes: 2, CPUsPerNode: 2, Quantum: quantum, CtxSwitch: ctxSwitch})
+		tr := trace.NewBuffer()
+		if workers >= 0 {
+			e.ShardPerNode()
+			e.SetRunner(parallel.New(workers))
+			e.SetLookahead(lookahead)
+			e.SetShardTracers([]*trace.Tracer{tr, trace.NewBuffer()})
+		} else {
+			e.SetTracer(tr)
+		}
+		ready := false
+		var queuedStart sim.Time
+		spinner := e.Spawn("spinner", 0, 0, func(p *sim.Proc) {
+			for !ready {
+				p.Wait()
+			}
+		})
+		e.Spawn("queued", 0, 0, func(p *sim.Proc) {
+			queuedStart = p.Now()
+			p.Advance(10)
+			ready = true
+			spinner.NotifyAt(p.Now())
+		})
+		e.Spawn("runner", 1, 0, func(p *sim.Proc) {
+			for i := 0; i < 30; i++ {
+				p.Advance(100)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var preempts []trace.Event
+		for _, ev := range tr.TakeBuffered() {
+			if ev.Ev == "preempt" {
+				preempts = append(preempts, ev)
+			}
+		}
+		want := trace.Event{T: quantum, Cat: "sched", Ev: "preempt", P: spinner.ID, O: 0}
+		if len(preempts) != 1 || preempts[0] != want {
+			t.Errorf("workers=%d: preempt events %+v, want [%+v]", workers, preempts, want)
+		}
+		if queuedStart != quantum+ctxSwitch {
+			t.Errorf("workers=%d: queued process resumed at t=%d, want %d", workers, queuedStart, quantum+ctxSwitch)
+		}
 	}
 }

@@ -12,11 +12,33 @@ type CPU struct {
 	id       int
 	node     int
 	shard    *shard // scheduling domain this CPU belongs to
+	slot     int    // index in shard.cpus and the shard's caches
 	current  *Proc
 	queue    []*Proc // descheduled processes bound to this CPU
+	procs    []*Proc // live processes bound to this CPU (pruned on refresh)
 	lastRan  *Proc
 	freeAt   Time // time the CPU last became free
 	sliceEnd Time // when the current process's quantum expires
+
+	// Scheduler bookkeeping. touch sets stale (the shard's cached
+	// effective times for this CPU are out of date) and touched (the CPU
+	// changed since runWindow's preempt/dispatch loop last visited it).
+	// spinner, recorded at that visit: only minEff held back
+	// preemptIfStale.
+	stale, touched, spinner bool
+}
+
+// touch records that the scheduling state of the CPU or of a process bound
+// to it changed: the shard recomputes the CPU's cached effective times at
+// its next refresh, and runWindow's preempt/dispatch loop visits it again.
+func (c *CPU) touch() {
+	c.touched = true
+	if !c.stale {
+		c.stale = true
+		sh := c.shard
+		sh.stale[sh.nStale] = c.slot
+		sh.nStale++
+	}
 }
 
 // ID returns the global CPU index.
@@ -165,6 +187,7 @@ func (p *Proc) NotifyAt(t Time) {
 	w := maxTime(t, p.now)
 	if w < p.wakeAt {
 		p.wakeAt = w
+		p.cpu.touch()
 		// A sleeper parked on its CPU had its quantum anchored to the old
 		// wake time; track the earlier wake.
 		if c := p.cpu; c.current == p && p.state == stateBlocked && c.sliceEnd < Forever {
@@ -194,7 +217,8 @@ func (p *Proc) YieldCPU() {
 }
 
 // effectiveTime is the earliest simulated time at which this process could
-// next execute an action, from the scheduler's point of view.
+// next execute an action, from the scheduler's point of view. It reads only
+// the process and its CPU, which is what lets the shard cache it per CPU.
 func (p *Proc) effectiveTime() Time {
 	var t Time
 	switch p.state {

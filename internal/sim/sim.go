@@ -23,6 +23,24 @@
 // same state transitions at the same simulated times as the sequential
 // one.
 //
+// The scheduler is incremental. Between two resumes the state of about one
+// CPU changes, so each shard caches, per CPU, the effective time of the
+// current process (curEff) and the minimum effective time of the CPU's
+// other live processes (restMin). A process's effective time reads only
+// the process and its CPU, so the invariant is: a CPU whose state and
+// whose bound processes are unchanged since its last refresh has exact
+// cached values. Every change marks its CPU with touch — after each
+// resume (the resumed process's CPU), in NotifyAt when the wake time
+// moves, in SpawnAt, at pick's wake commit, and wherever preemptIfStale,
+// preemptSleeper or dispatch changes a CPU. Only touched CPUs are
+// recomputed, and only then are the two arrays rescanned into the summary
+// that minEffective, pick and windowFor read in O(1). The preempt/dispatch
+// loop likewise visits only CPUs touched since their last visit, plus a
+// CPU whose stale spinner waits only on the shard's minimum effective time
+// to reach its slice end; any other visit would be a no-op. Building with
+// -tags simcheck compares every cached value, every window and every
+// skipped visit with a full rescan (simcheck.go).
+//
 // Time is measured in CPU cycles of the modeled machine (300 MHz Alpha
 // 21164 in the Shasta configuration, so 300 cycles per microsecond).
 package sim
@@ -135,10 +153,22 @@ const (
 // bound to them. All scheduler state that the sequential engine kept
 // globally lives per shard, so shards can run concurrently without sharing.
 type shard struct {
-	eng   *Engine
-	idx   int
-	cpus  []*CPU
-	procs []*Proc
+	eng  *Engine
+	idx  int
+	cpus []*CPU
+
+	// Effective-time caches, indexed by CPU.slot (see the package comment).
+	// Outside refresh, every CPU not listed in stale[:nStale] has exact
+	// values. stale has len(cpus) entries, so touch never grows it.
+	curEff  []Time
+	restMin []Time
+	stale   []int
+	nStale  int
+	// The caches' summary, kept by summarize: the smallest curEff (at
+	// slot min1Slot, the lowest process ID among ties), the second
+	// smallest, and the smallest restMin.
+	min1, min2, minRest Time
+	min1Slot            int
 
 	now     Time // time of the most recently resumed process
 	running *Proc
@@ -190,12 +220,29 @@ func NewEngine(cfg Config) *Engine {
 			e.cpus = append(e.cpus, &CPU{id: len(e.cpus), node: n, sliceEnd: Forever})
 		}
 	}
-	sh := &shard{eng: e, idx: 0, cpus: e.cpus}
-	e.shards = []*shard{sh}
-	for _, c := range e.cpus {
-		c.shard = sh
-	}
+	e.shards = []*shard{newShard(e, 0, e.cpus)}
 	return e
+}
+
+// newShard makes the scheduling domain idx out of cpus.
+func newShard(e *Engine, idx int, cpus []*CPU) *shard {
+	sh := &shard{
+		eng:      e,
+		idx:      idx,
+		cpus:     cpus,
+		curEff:   make([]Time, len(cpus)),
+		restMin:  make([]Time, len(cpus)),
+		stale:    make([]int, len(cpus)),
+		min1:     Forever,
+		min2:     Forever,
+		minRest:  Forever,
+		min1Slot: -1,
+	}
+	for i, c := range cpus {
+		c.shard, c.slot = sh, i
+		sh.curEff[i], sh.restMin[i] = Forever, Forever
+	}
+	return sh
 }
 
 // ShardPerNode partitions the engine into one shard per node for a parallel
@@ -206,14 +253,13 @@ func (e *Engine) ShardPerNode() {
 	}
 	e.shards = nil
 	for n := 0; n < e.cfg.Nodes; n++ {
-		sh := &shard{eng: e, idx: n}
+		var cpus []*CPU
 		for _, c := range e.cpus {
 			if c.node == n {
-				sh.cpus = append(sh.cpus, c)
-				c.shard = sh
+				cpus = append(cpus, c)
 			}
 		}
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, newShard(e, n, cpus))
 	}
 }
 
@@ -338,8 +384,9 @@ func (e *Engine) SpawnAt(name string, cpu int, priority int, start Time, fn func
 		window:   Forever,
 	}
 	e.procs = append(e.procs, p)
-	p.cpu.shard.procs = append(p.cpu.shard.procs, p)
+	p.cpu.procs = append(p.cpu.procs, p)
 	p.cpu.queue = append(p.cpu.queue, p)
+	p.cpu.touch()
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{T: start, Cat: "sched", Ev: "spawn", P: p.ID, O: cpu, S: name})
 	}
@@ -426,13 +473,8 @@ func (e *Engine) ShardMinEffective(i int) Time { return e.shards[i].minEffective
 // process: the next moment anything can happen.
 func (e *Engine) GlobalMinEffective() Time {
 	m := Forever
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		if t := p.effectiveTime(); t < m {
-			m = t
-		}
+	for _, sh := range e.shards {
+		m = min(m, sh.minEffective())
 	}
 	return m
 }
@@ -493,9 +535,20 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			return WindowHorizon
 		}
 		for _, c := range sh.cpus {
+			// An untouched CPU is unchanged since its last visit, which
+			// left it as these calls would: visiting it again is a no-op,
+			// unless preemptIfStale was waiting only on minEff.
+			if !c.touched && !(c.spinner && minEff >= c.sliceEnd) {
+				if checkCache {
+					sh.checkSkipped(c, minEff)
+				}
+				continue
+			}
+			c.touched = false
 			sh.preemptIfStale(c, minEff)
 			preemptSleeper(c)
 			sh.dispatch(c)
+			c.spinner = sh.staleSpinner(c)
 		}
 		p, st := sh.pick(horizon)
 		if p == nil {
@@ -534,6 +587,7 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 			sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "exit", P: p.ID, O: p.cpu.id, S: p.Name})
 		}
 		sh.reschedule(p)
+		p.cpu.touch()
 	}
 }
 
@@ -545,36 +599,85 @@ func (sh *shard) runWindow(horizon Time) WindowStatus {
 // (Cross-shard events cannot wake it before the slice end either: they
 // arrive at or after the horizon, which bounds every in-window wake.)
 func (sh *shard) preemptIfStale(c *CPU, minEff Time) {
-	p := c.current
-	if p == nil || sh.eng.cfg.Quantum == 0 {
+	if minEff < c.sliceEnd || !sh.staleSpinner(c) {
 		return
 	}
-	if p.state == stateWaiting && !p.sleeping && p.wakeAt > c.sliceEnd &&
-		minEff >= c.sliceEnd && anyoneElseWants(c) {
-		p.now = maxTime(p.now, c.sliceEnd)
-		c.lastRan = p
-		c.freeAt = maxTime(c.freeAt, p.now)
-		c.current = nil
-		c.queue = append(c.queue, p)
-		if sh.tracer != nil {
-			sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "preempt", P: p.ID, O: c.id})
+	p := c.current
+	p.now = maxTime(p.now, c.sliceEnd)
+	c.lastRan = p
+	c.freeAt = maxTime(c.freeAt, p.now)
+	c.current = nil
+	c.queue = append(c.queue, p)
+	c.touch()
+	if sh.tracer != nil {
+		sh.tracer.Emit(trace.Event{T: p.now, Cat: "sched", Ev: "preempt", P: p.ID, O: c.id})
+	}
+}
+
+// staleSpinner reports whether c's current process is a spinner that
+// preemptIfStale switches out once shard progress reaches the slice end:
+// waiting past its quantum while others want the CPU.
+func (sh *shard) staleSpinner(c *CPU) bool {
+	p := c.current
+	return p != nil && sh.eng.cfg.Quantum != 0 && p.state == stateWaiting &&
+		!p.sleeping && p.wakeAt > c.sliceEnd && anyoneElseWants(c)
+}
+
+// summarize brings the caches and their summary up to date. With nothing
+// touched since the last call there is nothing to do.
+func (sh *shard) summarize() {
+	if sh.nStale > 0 {
+		sh.refresh()
+	}
+	if checkCache {
+		sh.checkCaches()
+	}
+}
+
+// refresh recomputes the cached effective times of every touched CPU,
+// pruning finished processes from their lists, and rescans the two arrays
+// for the summary.
+func (sh *shard) refresh() {
+	for _, i := range sh.stale[:sh.nStale] {
+		c := sh.cpus[i]
+		c.stale = false
+		cur, rest := Forever, Forever
+		live := c.procs[:0]
+		for _, q := range c.procs {
+			if q.state == stateDone {
+				continue
+			}
+			live = append(live, q)
+			if t := q.effectiveTime(); q == c.current {
+				cur = t
+			} else if t < rest {
+				rest = t
+			}
+		}
+		c.procs = live
+		sh.curEff[i], sh.restMin[i] = cur, rest
+	}
+	sh.nStale = 0
+	min1, min2, minRest, slot := Forever, Forever, Forever, -1
+	for i, t := range sh.curEff {
+		minRest = min(minRest, sh.restMin[i])
+		if t < min1 {
+			min1, min2, slot = t, min1, i
+		} else {
+			min2 = min(min2, t)
+			if t == min1 && t < Forever && sh.cpus[i].current.ID < sh.cpus[slot].current.ID {
+				slot = i
+			}
 		}
 	}
+	sh.min1, sh.min2, sh.minRest, sh.min1Slot = min1, min2, minRest, slot
 }
 
 // minEffective returns the earliest effective time of any live process in
 // the shard: the next moment anything can happen here.
 func (sh *shard) minEffective() Time {
-	m := Forever
-	for _, p := range sh.procs {
-		if p.state == stateDone {
-			continue
-		}
-		if t := p.effectiveTime(); t < m {
-			m = t
-		}
-	}
-	return m
+	sh.summarize()
+	return min(sh.min1, sh.minRest)
 }
 
 // preemptSleeper displaces a dispatched sleeping process (it merely parks
@@ -598,6 +701,7 @@ func preemptSleeper(c *CPU) {
 			c.current = nil
 			c.queue = append(c.queue, p)
 			p.state = stateBlocked
+			c.touch()
 			return
 		}
 	}
@@ -674,34 +778,22 @@ func (sh *shard) dispatch(c *CPU) {
 		// time; NotifyAt keeps sliceEnd in step if the wake moves earlier.
 		c.sliceEnd = resumeAt + sh.eng.cfg.Quantum
 	}
+	c.touch()
 }
 
 // pick returns the schedulable process with the smallest effective time
 // below the horizon. The nil status distinguishes "nothing before the
-// horizon" (WindowHorizon) from "nothing ever" (WindowIdle).
+// horizon" (WindowHorizon) from "nothing ever" (WindowIdle). Ties go to
+// the lowest process ID.
 func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
-	var best *Proc
-	bestT := Forever
-	for _, c := range sh.cpus {
-		p := c.current
-		if p == nil {
-			continue
-		}
-		t := p.effectiveTime()
-		if t >= Forever {
-			continue
-		}
-		if t < bestT || (t == bestT && (best == nil || p.ID < best.ID)) {
-			best = p
-			bestT = t
-		}
-	}
-	if best == nil {
+	sh.summarize()
+	if sh.min1 >= Forever {
 		return nil, WindowIdle
 	}
-	if bestT >= horizon {
+	if sh.min1 >= horizon {
 		return nil, WindowHorizon
 	}
+	best := sh.cpus[sh.min1Slot].current
 	if best.state == stateWaiting || best.state == stateBlocked {
 		// Its event has arrived; advance its clock to the wake time. (A
 		// blocked process parked on its CPU commits the wake here — see
@@ -714,6 +806,7 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 		if wasWaiting {
 			best.sleeping = false
 		}
+		best.cpu.touch()
 	}
 	if best.wakeAt <= best.now {
 		// A pending notification the process has already reached (it was
@@ -728,18 +821,15 @@ func (sh *shard) pick(horizon Time) (*Proc, WindowStatus) {
 	return best, WindowHorizon
 }
 
-// windowFor computes how far p may run before yielding: the minimum
-// effective time of any other process in the shard that could become
-// runnable, clamped to the shard's horizon.
+// windowFor computes how far p, the process pick just returned, may run
+// before yielding: the minimum effective time of any other process in the
+// shard, clamped to the shard's horizon. p is the current process at
+// min1Slot, and pick's wake commit changed nothing else, so the summary
+// still holds for every other process.
 func (sh *shard) windowFor(p *Proc, horizon Time) Time {
-	w := horizon
-	for _, q := range sh.procs {
-		if q == p || q.state == stateDone {
-			continue
-		}
-		if t := q.effectiveTime(); t < w {
-			w = t
-		}
+	w := min(horizon, sh.minRest, sh.min2)
+	if checkCache {
+		sh.checkWindow(p, horizon, w)
 	}
 	return w
 }

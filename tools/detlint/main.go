@@ -18,7 +18,8 @@
 // detlint type-checks the named package directories using only the
 // standard library: imports within this module are resolved by
 // type-checking their directories recursively, everything else through
-// go/importer's source importer. Test files are skipped. Any finding, or any
+// go/importer's source importer. Test files, and files the default build
+// context excludes by build constraints, are skipped. Any finding, or any
 // type error in a checked package, makes the exit status 1: linting on
 // partial type information would silently miss findings.
 //
@@ -28,6 +29,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -102,6 +104,13 @@ func (l *linter) check(dir, path string, info *types.Info) (*types.Package, []*a
 	for _, e := range entries {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		// Lint the default build: a file excluded by its build constraints
+		// (e.g. one half of a tag-selected pair) is not part of it.
+		if ok, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, nil, "", err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, fn), nil, parser.ParseComments)

@@ -172,6 +172,40 @@ var when = time.Now()
 	}
 }
 
+// TestDetlintHonorsBuildConstraints lints a tag-selected pair of files:
+// only the default build's half is checked, so the pair's duplicate
+// declarations are no type error and the excluded half is not linted.
+func TestDetlintHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"on.go": `//go:build fixturetag
+
+package fixture
+
+import "time"
+
+var when = time.Now()
+
+const enabled = true
+`,
+		"off.go": `//go:build !fixturetag
+
+package fixture
+
+const enabled = false
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	if code := run([]string{dir}, &out); code != 0 {
+		t.Fatalf("got exit %d, want 0\n%s", code, out.String())
+	}
+}
+
 // TestDetlintRepoPackages is the in-repo acceptance gate: the simulator's
 // deterministic packages must stay clean.
 func TestDetlintRepoPackages(t *testing.T) {

@@ -36,7 +36,8 @@
 //
 // Like detlint, hotlint uses only the standard library: module-internal
 // imports are resolved by type-checking their directories recursively,
-// everything else through go/importer's source importer. Test files are
+// everything else through go/importer's source importer. Test files, and
+// files the default build context excludes by build constraints, are
 // skipped. New findings, or any type error in a checked package, make the
 // exit status 1; usage or analysis errors make it 2.
 //
@@ -48,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -167,6 +169,13 @@ func (a *analyzer) check(dir, path string, info *types.Info) (*types.Package, []
 	for _, e := range entries {
 		fn := e.Name()
 		if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		// Lint the default build: a file excluded by its build constraints
+		// (e.g. one half of a tag-selected pair) is not part of it.
+		if ok, err := build.Default.MatchFile(dir, fn); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(a.fset, filepath.Join(dir, fn), nil, parser.ParseComments)

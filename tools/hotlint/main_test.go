@@ -227,6 +227,26 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHonorsBuildConstraints analyzes a tag-selected pair of files: only
+// the default build's half is checked, so the pair's duplicate
+// declarations are no type error and the excluded half is not linted.
+func TestHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"on.go":  "//go:build fixturetag\n\npackage fixture\n\n//hot:path\nfunc f() []int { return make([]int, 8) }\n",
+		"off.go": "//go:build !fixturetag\n\npackage fixture\n\n//hot:path\nfunc f() []int { return nil }\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if code := run([]string{dir}, false, "", false, &buf); code != 0 {
+		t.Fatalf("got exit %d, want 0\n%s", code, buf.String())
+	}
+}
+
 // TestTypeErrorsAreFatal analyzes a package that does not type-check: the
 // run must fail with status 1 instead of linting on partial type info.
 func TestTypeErrorsAreFatal(t *testing.T) {
