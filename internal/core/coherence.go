@@ -41,10 +41,11 @@ type Protocol interface {
 	// attach binds the backend to its system; called once from newSystem
 	// before any process or block exists.
 	attach(s *System)
-	// initBlock creates the backend's per-block home state for a freshly
-	// allocated block (called from Alloc, after the block is appended to
-	// s.blocks; the home agent's copy is already Exclusive and zeroed).
-	initBlock(blk *blockInfo)
+	// initBlocks creates the backend's per-block home state for the run
+	// of blocks one Alloc call created, in block-ID order (called once per
+	// Alloc, after the blocks are appended to s.blocks; each home agent's
+	// copy is already Exclusive and zeroed).
+	initBlocks(blks []blockInfo)
 
 	// missKind selects the request kind issueMissKind sends for a miss.
 	missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -58,13 +59,16 @@ type dirInval struct {
 func (d *dirInval) name() string     { return "dirinval" }
 func (d *dirInval) attach(s *System) { d.s = s }
 
-func (d *dirInval) initBlock(blk *blockInfo) {
+func (d *dirInval) initBlocks(blks []blockInfo) {
 	s := d.s
-	homeAgent := s.agentOf(s.procs[blk.home])
-	if blk.id != len(d.dirs) {
-		panic(fmt.Sprintf("core: dirinval initBlock out of order (block %d, have %d)", blk.id, len(d.dirs)))
+	d.dirs = slices.Grow(d.dirs, len(blks))
+	for i := range blks {
+		blk := &blks[i]
+		if blk.id != len(d.dirs) {
+			panic(fmt.Sprintf("core: dirinval initBlocks out of order (block %d, have %d)", blk.id, len(d.dirs)))
+		}
+		d.dirs = append(d.dirs, dirEntry{state: dirExclusive, owner: s.agentOf(s.procs[blk.home])})
 	}
-	d.dirs = append(d.dirs, dirEntry{state: dirExclusive, owner: homeAgent})
 }
 
 func (d *dirInval) missKind(p *Proc, blk *blockInfo, wantExcl, scMode bool) msgKind {

@@ -37,7 +37,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,7 +263,6 @@ func (s *System) spawnExternal(name string, cpu int) *Proc {
 		barrierSeen:  make(map[int]int),
 		barrierWaits: make(map[int]int),
 		pinnedLines:  make(map[int]bool),
-		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
 	}
 	p.reqQ = newQueueBox()
 	m := newAgentMem(p.ID, s.Cfg.SharedBytes/8, s.numLines, false)

@@ -79,7 +79,7 @@ type Proc struct {
 	pollGap sim.Time // cycles until the next back-edge poll in Compute
 
 	stats  Stats
-	rng    *rand.Rand
+	rng    *rand.Rand // seeded on first Rand call
 	exited bool
 	// sendSeq numbers this process's wire transmissions for the queues'
 	// canonical ordering key (see memchannel.Ord).
@@ -108,8 +108,14 @@ func (p *Proc) System() *System { return p.sys }
 // Stats returns this process's statistics.
 func (p *Proc) Stats() *Stats { return &p.stats }
 
-// Rand returns the process-local deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns the process-local deterministic random source, a pure
+// function of Config.Seed and the process ID.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.sys.Cfg.Seed + int64(p.ID)*7919))
+	}
+	return p.rng
+}
 
 // Now returns the process's local simulated time.
 func (p *Proc) Now() sim.Time { return p.Sim.Now() }

@@ -46,7 +46,7 @@ const FlagWord uint64 = 0x8badf00d8badf00d
 // blockInfo describes one variable-granularity coherence block (§2.1):
 // a range of lines fetched and kept coherent as a unit. The per-block
 // home-side protocol state (directory entry, timestamp entry) lives in
-// the protocol backend, indexed by block ID (see Protocol.initBlock).
+// the protocol backend, indexed by block ID (see Protocol.initBlocks).
 type blockInfo struct {
 	id        int
 	home      int // home process ID

@@ -13,7 +13,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/memchannel"
@@ -109,8 +109,6 @@ type System struct {
 	tracer *trace.Tracer
 	osObj  any // cluster OS layer when built WithOS
 
-	rng *rand.Rand
-
 	deliveryCount int64 // messages offered to the wire (debug dup hook)
 
 	// Model-checker hooks (see explore.go). mcCapture, when set,
@@ -165,7 +163,6 @@ func newSystem(cfg Config) *System {
 		Net:          memchannel.NewNetwork(cfg.Nodes, cfg.Net),
 		numLines:     cfg.SharedBytes / cfg.LineSize,
 		wordsPerLine: cfg.LineSize / 8,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		pooling:      !cfg.NoPooling,
 	}
 	s.lineBlock = make([]int32, s.numLines)
@@ -290,7 +287,6 @@ func (s *System) spawn(name string, cpu, priority int, start sim.Time, body func
 		barrierSeen:  make(map[int]int),
 		barrierWaits: make(map[int]int),
 		pinnedLines:  make(map[int]bool),
-		rng:          rand.New(rand.NewSource(s.Cfg.Seed + int64(len(s.procs))*7919)),
 	}
 	if !s.Cfg.SharedQueues {
 		p.reqQ = newQueueBox()
@@ -431,21 +427,22 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 	if startLine+nblocks*blockLines > s.numLines {
 		panic(fmt.Sprintf("core: shared region exhausted (%d lines)", s.numLines))
 	}
-	for b := 0; b < nblocks; b++ {
+	slab := make([]blockInfo, nblocks)
+	s.blocks = slices.Grow(s.blocks, nblocks)
+	for b := range slab {
 		home := opts.Home
 		if home < 0 {
 			home = s.nextHome()
 		}
-		blk := &blockInfo{
+		blk := &slab[b]
+		*blk = blockInfo{
 			id:        len(s.blocks),
 			home:      home,
 			firstLine: startLine + b*blockLines,
 			lines:     blockLines,
 		}
-		homeAgent := s.agentOf(s.procs[home])
 		s.blocks = append(s.blocks, blk)
-		s.proto.initBlock(blk)
-		mem := s.agents[homeAgent]
+		mem := s.agents[s.agentOf(s.procs[home])]
 		for l := blk.firstLine; l < blk.firstLine+blk.lines; l++ {
 			s.lineBlock[l] = int32(blk.id)
 			mem.table[l] = Exclusive
@@ -455,6 +452,7 @@ func (s *System) Alloc(bytes int, opts AllocOptions) uint64 {
 			}
 		}
 	}
+	s.proto.initBlocks(slab)
 	s.allocCursor = startLine + nblocks*blockLines
 	return SharedBase + uint64(startLine*s.Cfg.LineSize)
 }

@@ -43,6 +43,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -131,13 +132,16 @@ func (t *tardis) attach(s *System) {
 	t.hist = make(map[int][]tardisVersion)
 }
 
-func (t *tardis) initBlock(blk *blockInfo) {
+func (t *tardis) initBlocks(blks []blockInfo) {
 	s := t.s
-	homeAgent := s.agentOf(s.procs[blk.home])
-	if blk.id != len(t.entries) {
-		panic(fmt.Sprintf("core: tardis initBlock out of order (block %d, have %d)", blk.id, len(t.entries)))
+	t.entries = slices.Grow(t.entries, len(blks))
+	for i := range blks {
+		blk := &blks[i]
+		if blk.id != len(t.entries) {
+			panic(fmt.Sprintf("core: tardis initBlocks out of order (block %d, have %d)", blk.id, len(t.entries)))
+		}
+		t.entries = append(t.entries, tardisEntry{owner: s.agentOf(s.procs[blk.home]), pendingOwner: -1})
 	}
-	t.entries = append(t.entries, tardisEntry{owner: homeAgent, pendingOwner: -1})
 }
 
 func (t *tardis) pstate(p *Proc) *tardisProcState {

@@ -13,6 +13,9 @@ const PrivateBase uint64 = 0x10000
 // PrivateWords is the size of the interpreter's private memory.
 const PrivateWords = 1 << 15
 
+// privPageWords is the size of one lazily allocated private page (4 KB).
+const privPageWords = 512
+
 // SyscallHandler services SYSCALL instructions; the interpreter gives
 // full access to the machine state (the cluster OS layer hooks in here).
 type SyscallHandler func(p *core.Proc, m *Interp, code int64)
@@ -27,7 +30,7 @@ type Interp struct {
 	Prog    *Program
 	Regs    [NumRegs]uint64
 	PC      int
-	priv    []uint64
+	priv    [PrivateWords / privPageWords]*[privPageWords]uint64 // allocated per page on first store; absent pages read 0
 	Syscall SyscallHandler
 	// MaxInstrs guards against runaway programs (0 = default limit).
 	MaxInstrs int64
@@ -47,7 +50,7 @@ type Interp struct {
 
 // NewInterp creates an interpreter for the program.
 func NewInterp(prog *Program) *Interp {
-	return &Interp{Prog: prog, priv: make([]uint64, PrivateWords), MaxInstrs: 50_000_000}
+	return &Interp{Prog: prog, MaxInstrs: 50_000_000}
 }
 
 // Executed returns the number of instructions retired.
@@ -61,13 +64,32 @@ func (m *Interp) privSlot(addr uint64) (int, error) {
 	return int(addr-PrivateBase) / 8, nil
 }
 
+// getPriv reads private slot s; an unwritten word is zero.
+func (m *Interp) getPriv(s int) uint64 {
+	pg := m.priv[s/privPageWords]
+	if pg == nil {
+		return 0
+	}
+	return pg[s%privPageWords]
+}
+
+// setPriv writes private slot s, allocating its page on first store.
+func (m *Interp) setPriv(s int, v uint64) {
+	pg := m.priv[s/privPageWords]
+	if pg == nil {
+		pg = new([privPageWords]uint64)
+		m.priv[s/privPageWords] = pg
+	}
+	pg[s%privPageWords] = v
+}
+
 // WritePriv initializes private memory (argument passing).
 func (m *Interp) WritePriv(addr uint64, v uint64) error {
 	s, err := m.privSlot(addr)
 	if err != nil {
 		return err
 	}
-	m.priv[s] = v
+	m.setPriv(s, v)
 	return nil
 }
 
@@ -77,7 +99,7 @@ func (m *Interp) ReadPriv(addr uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.priv[s], nil
+	return m.getPriv(s), nil
 }
 
 // Run executes the program on the given Shasta process, starting at the
@@ -130,7 +152,7 @@ func (m *Interp) load(p *core.Proc, in Instr, checked bool) (uint64, error) {
 			return 0, err
 		}
 		p.ChargeTime(core.CatTask, 1)
-		return m.priv[s], nil
+		return m.getPriv(s), nil
 	}
 	if m.openBatch != nil {
 		if m.Sanitize && !m.openBatch.Covers(addr) {
@@ -161,7 +183,7 @@ func (m *Interp) store(p *core.Proc, in Instr, v uint64, checked bool) error {
 			return err
 		}
 		p.ChargeTime(core.CatTask, 1)
-		m.priv[s] = v
+		m.setPriv(s, v)
 		return nil
 	}
 	if m.openBatch != nil {

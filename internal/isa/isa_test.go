@@ -23,7 +23,7 @@ loop:
 endproc
 `
 
-func testSystem(t *testing.T) *core.System {
+func testSystem(t testing.TB) *core.System {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.SharedBytes = 64 << 10
